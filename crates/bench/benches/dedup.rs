@@ -1,8 +1,8 @@
 //! Deduplication-structure throughput and memory (Figure 5's supporting
-//! machinery): sliding window vs. paged bitmap vs. raw Judy set.
+//! machinery): sliding window vs. paged bitmap.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use zmap_dedup::{Deduplicator, JudySet, PagedBitmap, SlidingWindow};
+use zmap_dedup::{Deduplicator, PagedBitmap, SlidingWindow};
 
 /// A simple xorshift stream of 48-bit target keys.
 fn keys(n: usize, seed: u64) -> Vec<u64> {
@@ -41,20 +41,6 @@ fn bench_dedup(c: &mut Criterion) {
                 kept += u64::from(w.check_and_insert(black_box(k)));
             }
             kept
-        })
-    });
-
-    g.bench_function("judy_insert_contains", |b| {
-        b.iter(|| {
-            let mut s = JudySet::new();
-            let mut hits = 0u64;
-            for &k in &stream {
-                s.insert(k);
-            }
-            for &k in &stream {
-                hits += u64::from(s.contains(black_box(k)));
-            }
-            hits
         })
     });
 

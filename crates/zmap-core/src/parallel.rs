@@ -26,14 +26,13 @@ use crate::output::ScanResult;
 use crate::plan::{build_any_template, AnyProbeBuilder, AnyStaged, ScanPlan};
 use crate::ratecontrol::RateController;
 use crate::ring::SpscRing;
-use crate::scanner::{checkpoint_via_metrics, ResumeError};
+use crate::scanner::{checkpoint_via_metrics, DedupState, ResumeError};
 use crate::shutdown::ShutdownToken;
 use crate::transport::FrameBatch;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::collections::BTreeMap;
-use zmap_dedup::SlidingWindow;
 use zmap_metrics::{MetricsSnapshot, TraceSnapshot};
 use zmap_netsim::{EndpointId, SendError, World};
 use zmap_targets::generator::BuildError;
@@ -378,6 +377,7 @@ fn run_inner<T: SharedTransport>(
     opts: ParallelRunOptions,
     journal: Option<&CheckpointState>,
 ) -> Result<ParallelSummary, BuildError> {
+    let mut dedup = DedupState::for_config(cfg)?;
     // In v6 mode the journaled cycle parts are ignored: the walk plan is
     // a pure function of (prefix list, ports, seed), which the config
     // digest already pins.
@@ -733,7 +733,6 @@ fn run_inner<T: SharedTransport>(
         // signature freezes for `watchdog_poll_limit` consecutive polls,
         // it records a stall, trips the shutdown token, and abandons the
         // wait rather than spinning forever.
-        let mut dedup = SlidingWindow::new(1_000_000);
         let deadline_after_done = cfg.cooldown_secs.max(1) * 1_000_000_000;
         let mut done_at: Option<u64> = None;
         let mut last_ckpt_at = 0u64;
@@ -754,7 +753,7 @@ fn run_inner<T: SharedTransport>(
                         // RTT from the probe's scheduled send to this
                         // arrival (first response wins the sample).
                         metrics.record_rtt(rx, key, ts);
-                        if !dedup.check_and_insert(key) {
+                        if !dedup.observe(resp.ip, key) {
                             metrics.add_at(rx, CounterId::DuplicatesSuppressed, 1);
                             continue;
                         }
@@ -934,6 +933,7 @@ fn run_inner<T: SharedTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::DedupMethod;
     use std::collections::HashSet;
     use zmap_netsim::loss::LossModel;
     use zmap_netsim::{ServiceModel, WorldConfig};
@@ -979,6 +979,70 @@ mod tests {
         let distinct: HashSet<_> = s.results.iter().map(|r| r.saddr).collect();
         assert_eq!(distinct.len(), 256);
         assert_eq!(s.lock_poison_recoveries, 0);
+    }
+
+    /// A /24 where every host answers port 80 and then re-sends its
+    /// answer up to 50 times ("blowback"), over a lossless network.
+    fn blowback_scan(dedup: DedupMethod) -> Result<ParallelSummary, BuildError> {
+        let mut model = ServiceModel::dense(&[80]);
+        model.blowback_fraction = 1.0;
+        model.blowback_max = 50;
+        let world = Arc::new(Mutex::new(World::new(WorldConfig {
+            seed: 5,
+            model,
+            loss: LossModel::NONE,
+            ..WorldConfig::default()
+        })));
+        let src = Ipv4Addr::new(192, 0, 2, 9);
+        let mut cfg = ScanConfig::new(src);
+        cfg.allowlist_prefix(Ipv4Addr::new(44, 2, 0, 0), 24);
+        cfg.apply_default_blocklist = false;
+        cfg.subshards = 2;
+        cfg.rate_pps = 100_000;
+        cfg.cooldown_secs = 400; // long enough for the duplicate tail
+        cfg.dedup = dedup;
+        run_parallel(&cfg, &SharedSimTransport::new(world, src))
+    }
+
+    #[test]
+    fn threaded_without_dedup_duplicates_pollute_output() {
+        let exact = blowback_scan(DedupMethod::Window(1_000_000)).unwrap();
+        assert_eq!(exact.unique_successes, 256, "dups must not inflate successes");
+        assert_eq!(exact.results.len(), 256);
+        assert!(exact.duplicates_suppressed > 1000, "{}", exact.duplicates_suppressed);
+        let none = blowback_scan(DedupMethod::None).unwrap();
+        assert_eq!(none.duplicates_suppressed, 0);
+        assert_eq!(
+            none.unique_successes,
+            exact.unique_successes + exact.duplicates_suppressed,
+            "no dedup: every duplicate counts"
+        );
+    }
+
+    #[test]
+    fn threaded_small_window_passes_repeats_after_eviction() {
+        // A window smaller than the 256 answering hosts forgets some of
+        // them before their blowback ends: those repeats pass as fresh.
+        let none = blowback_scan(DedupMethod::None).unwrap();
+        let small = blowback_scan(DedupMethod::Window(200)).unwrap();
+        assert!(small.duplicates_suppressed > 0);
+        assert!(
+            small.unique_successes > 256 && small.unique_successes < none.unique_successes,
+            "window of 200: {} fresh of {}",
+            small.unique_successes,
+            none.unique_successes
+        );
+        assert_eq!(small.unique_successes + small.duplicates_suppressed, none.unique_successes);
+    }
+
+    #[test]
+    fn threaded_engine_refuses_full_bitmap_for_multi_port_scans() {
+        let src = Ipv4Addr::new(192, 0, 2, 9);
+        let mut cfg = ScanConfig::new(src);
+        cfg.ports = vec![80, 443];
+        cfg.dedup = DedupMethod::FullBitmap;
+        let transport = SharedSimTransport::new(shared_world(), src);
+        assert!(matches!(run_parallel(&cfg, &transport), Err(BuildError::Config(_))));
     }
 
     #[test]

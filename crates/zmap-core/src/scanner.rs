@@ -159,18 +159,38 @@ impl fmt::Display for ResumeError {
 
 impl std::error::Error for ResumeError {}
 
-enum DedupState {
+/// The response deduplicator a config selects; both engines build it
+/// through [`DedupState::for_config`].
+pub(crate) enum DedupState {
     None,
     Bitmap(Box<PagedBitmap>),
     Window(SlidingWindow),
 }
 
 impl DedupState {
+    /// The deduplicator `cfg.dedup` names. Full-bitmap dedup indexes bare
+    /// IPv4 addresses, so it is refused for multi-port scans (the v6 case
+    /// is refused at plan build).
+    pub(crate) fn for_config(cfg: &ScanConfig) -> Result<Self, BuildError> {
+        Ok(match cfg.dedup {
+            DedupMethod::None => DedupState::None,
+            DedupMethod::FullBitmap if crate::plan::effective_ports(cfg).len() > 1 => {
+                return Err(BuildError::Config(
+                    "full-bitmap dedup indexes bare IPv4 addresses and cannot \
+                     distinguish ports; use window dedup for multi-port scans"
+                        .into(),
+                ))
+            }
+            DedupMethod::FullBitmap => DedupState::Bitmap(Box::new(PagedBitmap::new())),
+            DedupMethod::Window(n) => DedupState::Window(SlidingWindow::new(n)),
+        })
+    }
+
     /// Observes a response by its plan-derived key. For v4 the key is
     /// `target_key(ip, port)`; for v6 it is the compact per-prefix index
     /// (the bitmap arm is unreachable there — v6 + full-bitmap is
     /// rejected at plan build).
-    fn observe(&mut self, ip: IpAddr, key: u64) -> bool {
+    pub(crate) fn observe(&mut self, ip: IpAddr, key: u64) -> bool {
         match self {
             DedupState::None => true,
             // The bitmap indexes bare 32-bit addresses, so it is only
@@ -286,14 +306,7 @@ impl<T: Transport> Scanner<T> {
         logger: Logger,
         cycle_parts: Option<(u64, u64)>,
     ) -> Result<Self, BuildError> {
-        let ports = crate::plan::effective_ports(&cfg);
-        if cfg.dedup == DedupMethod::FullBitmap && ports.len() > 1 {
-            return Err(BuildError::Config(
-                "full-bitmap dedup indexes bare IPv4 addresses and cannot \
-                 distinguish ports; use window dedup for multi-port scans"
-                    .into(),
-            ));
-        }
+        let dedup = DedupState::for_config(&cfg)?;
         // In v6 mode the journaled cycle parts are ignored: the walk plan
         // is a pure function of (prefix list, ports, seed) and the resume
         // gate compares its fingerprint instead.
@@ -304,11 +317,6 @@ impl<T: Transport> Scanner<T> {
         // keeping the TX hot path infallible.
         let template = build_any_template(&cfg.probe, &builder)
             .map_err(|e| BuildError::Config(format!("cannot build probe template: {e}")))?;
-        let dedup = match cfg.dedup {
-            DedupMethod::None => DedupState::None,
-            DedupMethod::FullBitmap => DedupState::Bitmap(Box::new(PagedBitmap::new())),
-            DedupMethod::Window(n) => DedupState::Window(SlidingWindow::new(n)),
-        };
         let (prime, generator, _) = gen.permutation();
         logger.info(format_args!(
             "scan configured: {} targets in shard {}/{}, group p={}, generator={}",

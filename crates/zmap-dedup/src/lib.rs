@@ -9,20 +9,20 @@
 //! last n responses backed by a Judy array; a window of 10^6 entries (the
 //! ZMap default) empirically removes nearly all duplicates (Figure 5).
 //!
-//! This crate provides all three pieces:
+//! This crate provides both pieces:
 //!
 //! * [`PagedBitmap`] — the exact, single-port-era structure,
-//! * [`JudySet`] — a from-scratch Judy-style sparse radix set over `u64`,
-//! * [`SlidingWindow`] — the modern FIFO window deduplicator.
+//! * [`SlidingWindow`] — the modern FIFO window deduplicator. Its
+//!   membership set is a flat open-addressing table rather than a Judy
+//!   array: Judy saves memory in C, but here it cost both speed and peak
+//!   heap (see the `window` module docs).
 //!
 //! All deduplicators implement [`Deduplicator`].
 
 pub mod bitmap;
-pub mod judy;
 pub mod window;
 
 pub use bitmap::PagedBitmap;
-pub use judy::JudySet;
 pub use window::SlidingWindow;
 
 /// Packs an (IPv4, port) target into the 48-bit dedup key space.
